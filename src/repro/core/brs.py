@@ -9,28 +9,27 @@ rule-list of size ``k+1`` as produced by the greedy, which Section 6.1
 exploits to stream rules to the user; :func:`brs_iter` exposes exactly
 that stream.
 
-**Engines.**  By default (``engine="incremental"``) the ``k`` marginal
-searches run through a :class:`~repro.core.search_cache.SearchContext`,
-which persists candidate counts, weights, and covered-row sets across
-picks and re-evaluates marginals CELF-style (Leskovec et al.'s lazy
-greedy): submodularity makes any previously computed marginal an upper
-bound on the current one, so picks after the first only touch the few
-heap-top candidates whose stale bound is still competitive, instead of
-re-running the whole a-priori search.  The selected rules are provably
-identical to ``engine="scratch"`` (one cold
-:func:`~repro.core.marginal.find_best_marginal_rule` per pick) — the
-lazy heap settles on the same argmax under the same tie-breaking order,
-and pruned-subtree bounds are re-checked against the current ``top``
-before a search concludes (see :mod:`repro.core.search_cache` for the
-full argument).  Callers may pass an existing ``context`` to amortise
-the cache across multiple BRS runs — the interactive session layer does
-this for repeated expansions of the same drill-down node.
+**Search.**  The ``k`` marginal searches run through one
+:class:`~repro.core.search_cache.SearchContext`, which persists
+candidate counts, weights, and covered-row sets across picks and
+re-evaluates marginals CELF-style (Leskovec et al.'s lazy greedy):
+submodularity makes any previously computed marginal an upper bound on
+the current one, so picks after the first only touch the few heap-top
+candidates whose stale bound is still competitive, instead of re-running
+the whole a-priori search.  The selected rules are provably identical
+to one cold :func:`~repro.core.marginal.find_best_marginal_rule` per
+pick — the lazy heap settles on the same argmax under the same
+tie-breaking order, and pruned-subtree bounds are re-checked against
+the current ``top`` before a search concludes (see
+:mod:`repro.core.search_cache` for the full argument).  Callers may
+pass an existing ``context`` to amortise the cache across multiple BRS
+runs — the interactive session layer does this for repeated expansions
+of the same drill-down node.
 
-**Parallel counting.**  Either engine's counting passes — dominated by
-the first pick on large tables — can be sharded over a shared-memory
-worker pool with the ``n_workers=``/``pool=`` knobs (see
-:mod:`repro.core.parallel`); the selected rules are identical to the
-serial path.
+**Parallel counting.**  The counting passes — dominated by the first
+pick on large tables — can be sharded over a shared-memory worker pool
+with the ``n_workers=``/``pool=`` knobs (see :mod:`repro.core.parallel`);
+the selected rules are identical to the serial path.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.marginal import MarginalResult, SearchStats, find_best_marginal_rule
-from repro.core.parallel import CountingPool, resolve_pool
-from repro.core.rule import Rule, cover_mask
+from repro.core.marginal import MarginalResult, SearchStats
+from repro.core.parallel import CountingPool
+from repro.core.rule import Rule
 from repro.core.scoring import RuleList
 from repro.core.search_cache import SearchContext
 from repro.core.weights import WeightFunction
@@ -86,7 +85,6 @@ def brs_iter(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     n_workers: int | None = None,
     pool: CountingPool | None = None,
     first_pick=None,
@@ -103,13 +101,11 @@ def brs_iter(
     parent's (this is what makes the Table 3 expansion produce
     cookies/CA-1/WA-5 rather than re-listing the Walmart rule itself).
 
-    ``engine`` selects ``"incremental"`` (cached, CELF lazy greedy —
-    the default) or ``"scratch"`` (one cold Algorithm 2 run per pick);
-    both produce identical picks.  ``context`` supplies an existing
+    ``context`` supplies an existing
     :class:`~repro.core.search_cache.SearchContext` to reuse across
-    runs (implies the incremental engine); it must have been built for
-    the same table, weight function, and search parameters.  Invalid
-    engines/contexts raise here, not at first iteration.
+    runs; it must have been built for the same table, weight function,
+    and search parameters.  An incompatible context raises here, not
+    at first iteration.
 
     ``n_workers``/``pool`` select the shared-memory parallel counting
     backend (:mod:`repro.core.parallel`) for the underlying searches:
@@ -125,12 +121,7 @@ def brs_iter(
     of a full scan.  Picks are provably identical with or without it;
     a cache built for a different ``(table, wf, mw)`` is ignored.
     """
-    if engine not in ("incremental", "scratch"):
-        raise EngineError(f"unknown search engine {engine!r}")
-    resolved_pool = resolve_pool(pool, n_workers)
-    if context is not None:
-        context.check_compatible(table, wf, mw, measures, max_rule_size, prune)
-    elif engine == "incremental":
+    if context is None:
         context = SearchContext(
             table,
             wf,
@@ -138,9 +129,12 @@ def brs_iter(
             measures=measures,
             max_rule_size=max_rule_size,
             prune=prune,
-            pool=resolved_pool,
+            n_workers=n_workers,
+            pool=pool,
             first_pick=first_pick,
         )
+    else:
+        context.check_compatible(table, wf, mw, measures, max_rule_size, prune)
 
     def picks() -> Iterator[MarginalResult]:
         top = (
@@ -149,28 +143,11 @@ def brs_iter(
             else initial_top.astype(np.float64).copy()
         )
         while True:
-            if context is not None:
-                result = context.find_best(top)
-            else:
-                result = find_best_marginal_rule(
-                    table,
-                    wf,
-                    top,
-                    mw,
-                    measures=measures,
-                    max_rule_size=max_rule_size,
-                    prune=prune,
-                    pool=resolved_pool,
-                    first_pick=first_pick,
-                )
+            result = context.find_best(top)
             if result is None:
                 return
-            if context is not None and context.last_rows is not None:
-                rows = context.last_rows
-                top[rows] = np.maximum(top[rows], result.weight)
-            else:
-                mask = cover_mask(result.rule, table)
-                top[mask] = np.maximum(top[mask], result.weight)
+            rows = context.last_rows
+            top[rows] = np.maximum(top[rows], result.weight)
             yield result
 
     return picks()
@@ -187,7 +164,6 @@ def brs(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     n_workers: int | None = None,
     pool: CountingPool | None = None,
     first_pick=None,
@@ -215,10 +191,9 @@ def brs(
     initial_top:
         Optional seed for the per-tuple selected-weight state (see
         :func:`brs_iter`).
-    context, engine:
-        Search-engine selection (see :func:`brs_iter`): the cached
-        CELF engine by default, ``engine="scratch"`` for one cold
-        search per pick, or an existing context to reuse its cache.
+    context:
+        An existing search context to reuse its cache (see
+        :func:`brs_iter`); a fresh one is built otherwise.
     n_workers, pool:
         Parallel-counting selection (see :func:`brs_iter`):
         ``n_workers=None``/``1`` serial, ``0`` all cores, ``>= 2`` a
@@ -241,7 +216,6 @@ def brs(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        engine=engine,
         n_workers=n_workers,
         pool=pool,
         first_pick=first_pick,
@@ -266,7 +240,6 @@ def brs_time_limited(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     n_workers: int | None = None,
     pool: CountingPool | None = None,
     first_pick=None,
@@ -279,7 +252,7 @@ def brs_time_limited(
     budget are exactly the prefix a larger ``k`` would have produced.
     At least one search is always attempted (a summary with zero rules
     helps nobody); ``max_rules`` optionally caps the count as well.
-    The incremental engine stretches the budget: later searches cost a
+    The search context stretches the budget: later searches cost a
     few heap re-evaluations instead of full table passes, and
     ``n_workers``/``pool`` (see :func:`brs_iter`) shrink the dominant
     first search by sharding its counting passes over a shared-memory
@@ -299,7 +272,6 @@ def brs_time_limited(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        engine=engine,
         n_workers=n_workers,
         pool=pool,
         first_pick=first_pick,

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.brs import BRSResult, brs
 from repro.errors import RuleError
 from repro.core.marginal import SearchStats
-from repro.core.parallel import CountingPool, resolve_pool
+from repro.core.parallel import CountingPool
 from repro.core.rule import Rule, cover_mask
 from repro.core.scoring import RuleList, tuple_measures
 from repro.core.search_cache import SearchContext
@@ -96,9 +96,9 @@ class DrillDownResult:
     ``rule_list`` holds the weight-sorted super-rules of the clicked
     rule with their Count/MCount on the mined table; ``subtable_rows``
     is ``|T_{r'}|``; ``stats`` aggregates the BRS search work.
-    ``context`` is the incremental-search state used — pass it back to
-    the same drill-down call to reuse the cached candidate lattice
-    (None when the scratch engine was requested).
+    ``context`` is the search state used — pass it back to the same
+    drill-down call to reuse the cached candidate lattice (None for a
+    traditional drill-down).
     """
 
     parent: Rule
@@ -151,7 +151,6 @@ def rule_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     n_workers: int | None = None,
     pool: CountingPool | None = None,
     tenant: object = None,
@@ -174,7 +173,6 @@ def rule_drilldown(
     """
     if len(parent) != table.n_columns:
         raise RuleError("parent rule arity does not match the table")
-    resolved_pool = resolve_pool(pool, n_workers)
     tag = drilldown_tag(
         "rule", parent, None, measure=measure, wf=wf, mw=mw,
         max_rule_size=max_rule_size, prune=prune,
@@ -187,15 +185,13 @@ def rule_drilldown(
         subtable = table.filter(cover_mask(parent, table)) if not parent.is_trivial else table
         lifted = MergedWeight(wf, parent) if not parent.is_trivial else wf
         measures = tuple_measures(subtable, measure)
-        context = None
-        if engine == "incremental":
-            context = SearchContext(
-                subtable, lifted, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, pool=resolved_pool,
-                tenant=tenant, first_pick=first_pick,
-            )
-            context.source = table
-            context.tag = tag
+        context = SearchContext(
+            subtable, lifted, mw, measures=measures,
+            max_rule_size=max_rule_size, prune=prune, n_workers=n_workers,
+            pool=pool, tenant=tenant, first_pick=first_pick,
+        )
+        context.source = table
+        context.tag = tag
     # Seed the greedy with the parent already covering the sub-table at
     # its own weight: children earn credit only for the weight they add
     # beyond the parent, which is what the paper's Table 3 expansion
@@ -211,9 +207,6 @@ def rule_drilldown(
         prune=prune,
         initial_top=seed,
         context=context,
-        engine=engine,
-        pool=resolved_pool,
-        first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)
     rule_list = RuleList(merged, subtable, wf, measures)
@@ -238,7 +231,6 @@ def star_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     n_workers: int | None = None,
     pool: CountingPool | None = None,
     tenant: object = None,
@@ -261,7 +253,6 @@ def star_drilldown(
         )
     if not parent.is_star(column):
         raise RuleError(f"parent rule already instantiates column {column}")
-    resolved_pool = resolve_pool(pool, n_workers)
     tag = drilldown_tag(
         "star", parent, column, measure=measure, wf=wf, mw=mw,
         max_rule_size=max_rule_size, prune=prune,
@@ -275,15 +266,13 @@ def star_drilldown(
         lifted: WeightFunction = MergedWeight(wf, parent) if not parent.is_trivial else wf
         constrained = StarConstrainedWeight(lifted, column)
         measures = tuple_measures(subtable, measure)
-        context = None
-        if engine == "incremental":
-            context = SearchContext(
-                subtable, constrained, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, pool=resolved_pool,
-                tenant=tenant, first_pick=first_pick,
-            )
-            context.source = table
-            context.tag = tag
+        context = SearchContext(
+            subtable, constrained, mw, measures=measures,
+            max_rule_size=max_rule_size, prune=prune, n_workers=n_workers,
+            pool=pool, tenant=tenant, first_pick=first_pick,
+        )
+        context.source = table
+        context.tag = tag
     result = brs(
         subtable,
         constrained,
@@ -293,9 +282,6 @@ def star_drilldown(
         max_rule_size=max_rule_size,
         prune=prune,
         context=context,
-        engine=engine,
-        pool=resolved_pool,
-        first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)
     rule_list = RuleList(merged, subtable, wf, measures)

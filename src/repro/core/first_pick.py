@@ -1,8 +1,8 @@
 """Shared first-pick marginal cache: registration-time level-1 precompute.
 
-Every fresh :class:`~repro.core.search_cache.SearchContext` (and every
-scratch ``_Searcher``) pays a full level-wise scan for its *first* pick
-even though picks 2..k are nearly free.  Tables in the serving catalog
+Every fresh :class:`~repro.core.search_cache.SearchContext` pays a full
+level-wise scan for its *first* pick even though picks 2..k are nearly
+free.  Tables in the serving catalog
 are registered once and shared by every tenant, so the level-1
 (single-column) count/marginal vectors are the same for every cold
 session over the same ``(table, weighting, mw)``.  This module
@@ -205,8 +205,8 @@ def build_first_pick_cache(
     ``None`` means the combination has no fast path to cache: a
     weighting outside the scalar column-set family, or a table with no
     categorical columns.  The arrays come from the same
-    :func:`~repro.core.parallel.count_extensions_kernel` both engines'
-    cold first passes call (measures all-ones — the cache serves only
+    :func:`~repro.core.parallel.count_extensions_kernel` a cold
+    search's first pass calls (measures all-ones — the cache serves only
     Count searches — and ``top == 0.0``), so serving them is
     bit-identical to re-running the scan.
     """

@@ -7,77 +7,45 @@ with the highest *marginal value*
     MarginalValue(r) = Σ_{t ∈ r} m(t) · ( W(r) − min(W(r), W(TOP(t, S))) )
 
 where ``m(t)`` is the tuple measure (1 for Count, the measure column for
-Sum, Section 6.3).  The search enumerates candidates level-wise by rule
-size, a-priori style: size-``j`` candidates are generated only from
-surviving size-``j−1`` rules, extended on columns strictly after their
-last instantiated column (so each rule is generated exactly once), with
-values drawn from actual co-occurrence in the data.  A candidate's
-descendants are pruned with the paper's upper bound
+Sum, Section 6.3).  Candidates are enumerated a-priori style: a rule is
+generated only from a surviving parent, extended on columns strictly
+after its last instantiated column (so each rule is generated exactly
+once), with values drawn from actual co-occurrence in the data.  A
+candidate's descendants are pruned with the paper's upper bound
 
     MarginalVal(R') + Count(R') · (mw − W(R'))   for sub-rules R' of R,
 
-compared against the best marginal value ``H`` found so far.
+compared against the best marginal value found so far.
 
-Implementation note: the per-level "pass over the table" is vectorised —
-for one surviving parent and one extension column, the counts and
-marginal values of *all* value extensions are two ``np.bincount`` calls
-over the parent's covered rows.  Pruning therefore pays off by skipping
-parents (the paper's ``Cn`` deletions), which is where the exponential
-blow-up lives; the returned rule is identical to the paper's.
+The search itself lives in one place,
+:class:`~repro.core.search_cache.SearchContext`, which persists the
+counted lattice across the ``k`` greedy picks of one BRS run and
+re-evaluates marginals CELF-style (arXiv:1412.0364).
+:func:`find_best_marginal_rule` is the one-shot form: a cold context
+running a single search.  Its result is the maximum over all supported
+candidates of weight ≤ ``mw`` under the total order (marginal desc,
+size asc, key asc), which ``tests/core/test_marginal.py`` and
+``tests/integration/test_randomised_parity.py`` pin against the brute
+force oracle of :mod:`repro.core.exhaustive`.
 
-**Vertical row-index propagation.**  Each surviving candidate carries a
-reference to its parent's covered row-index array plus its own
-``(column, code)`` extension, so when (and only when) the candidate is
-itself extended, its covered rows materialise as
-``parent_rows[codes[parent_rows] == code]`` — O(parent support), never
-the O(table size) full-table rescan (the old ``_mask_of``) that the
-extended version of the paper (arXiv:1412.0364) identifies as the
-dominant per-pass cost.  Materialisation is lazy because the a-priori
-bound prunes the vast majority of generated candidates before they are
-ever extended; partitioning rows eagerly for all of them costs more
-than the rescans it avoids.
-
-The same propagated row sets power the *incremental* engine in
-:mod:`repro.core.search_cache`, which persists them across the ``k``
-greedy searches of one BRS run (counts, weights, and coverage never
-change between picks — only ``top`` does) and lazily re-evaluates
-marginals CELF-style.  :class:`SearchStats` carries two counters for
-it: ``cache_hits`` (marginal re-evaluations served from cached row
-sets) and ``lazy_skips`` (cached candidates a search never had to
-touch, the CELF saving).
-
-**The counting-backend seam.**  The per-(parent, column) bincount pair
-is factored into :func:`repro.core.parallel.count_extensions_kernel`,
-the one counting primitive shared by this module, the incremental
-engine, and the worker processes of the shared-memory counting pool
-(:mod:`repro.core.parallel`).  A :class:`_Searcher` given a
-``backend`` (via the public ``pool=``/``n_workers=`` knobs) collects
-each level's (parent, column) tasks and counts them as one batch —
-sharded across workers over a shared immutable code-array region —
-instead of inline; tasks are never split below a whole (parent,
-column) pair, so every bincount accumulates in the serial float order
-and the per-candidate Counts/MarginalValues are bit-identical.  The
-batched pass consults the pruning threshold ``H`` at the start of the
-pass rather than continuously, which can only prune *less*; since the
-bound argument holds for any valid ``H``, the selected rules are
-provably unchanged.  Value-dependent (slow-path) weight functions
-cannot ship a scalar weight to the workers and always count serially.
+This module keeps the primitives the search, the counting backend
+(:mod:`repro.core.parallel`) and the first-pick cache
+(:mod:`repro.core.first_pick`) share: the result and work-counter
+types, the fast-path column-set weight, the per-task extension weight,
+and candidate-key decoding.  Computing those in one place is what keeps
+every counting path bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import RuleError
-from repro.core.parallel import (
-    CountTask,
-    CountingPool,
-    count_extensions_kernel,
-    resolve_pool,
-)
+# The kernel is not called here; perfbench/trace.py resolves it under
+# this module's name, so the name stays importable.
+from repro.core.parallel import CountingPool, count_extensions_kernel  # noqa: F401
 from repro.core.rule import Rule
 from repro.core.weights import (
     ColumnSetWeight,
@@ -107,21 +75,18 @@ def _extension_weight(
 ) -> float:
     """Fast-path weight shared by every value extension of one task.
 
-    One definition for both engines (and hence the counting backend's
-    task construction) — the bit-identical guarantee requires the
-    weight fed to :func:`repro.core.parallel.count_extensions_kernel`
-    to be computed identically everywhere.
+    One definition for the search and the first-pick cache (and hence
+    the counting backend's task construction) — the bit-identical
+    guarantee requires the weight fed to
+    :func:`repro.core.parallel.count_extensions_kernel` to be computed
+    identically everywhere.
     """
     columns = _key_columns(parent_key, cat_positions) + (cat_positions[pos],)
     return fast_weight(tuple(sorted(columns)))
 
 
 def _key_rule(key: _Key, table: Table, cat_positions: Sequence[int]) -> Rule:
-    """Decode a candidate key into a :class:`Rule` over ``table``.
-
-    Shared by the from-scratch searcher and the incremental engine
-    (:mod:`repro.core.search_cache`) so both decode keys identically.
-    """
+    """Decode a candidate key into a :class:`Rule` over ``table``."""
     items: dict[int, Any] = {}
     for pos, code in key:
         table_idx = cat_positions[pos]
@@ -135,26 +100,24 @@ def _key_rule(key: _Key, table: Table, cat_positions: Sequence[int]) -> Rule:
 class SearchStats:
     """Work counters for one best-marginal-rule search.
 
-    ``rows_scanned`` counts tuple visits across all bincount passes and
-    is the vectorised analogue of the paper's "passes over the table";
-    ``parents_pruned`` counts surviving-rule extensions skipped by the
-    upper bound.
+    ``rows_scanned`` counts tuple visits across all bincount passes,
+    row materialisations and marginal re-evaluations, and is the
+    vectorised analogue of the paper's "passes over the table";
+    ``parents_extended`` counts candidates whose extensions were
+    counted.
 
-    The incremental engine (:mod:`repro.core.search_cache`) adds two
-    counters: ``cache_hits`` is the number of candidate marginals
-    re-evaluated from cached row sets instead of regenerated by a
-    counting pass, and ``lazy_skips`` is the number of cached candidates
-    whose re-evaluation a CELF lazy-greedy search avoided entirely
-    (their stale marginal — an upper bound, by submodularity — never
-    reached the top of the heap).  Both are zero for from-scratch
-    searches.
+    ``cache_hits`` is the number of candidate marginals re-evaluated
+    from cached row sets instead of regenerated by a counting pass, and
+    ``lazy_skips`` is the number of cached candidates whose
+    re-evaluation the CELF lazy greedy avoided entirely (their stale
+    marginal — an upper bound, by submodularity — never reached the top
+    of the heap).
     """
 
     passes: int = 0
     candidates_generated: int = 0
     candidates_eligible: int = 0
     parents_extended: int = 0
-    parents_pruned: int = 0
     rows_scanned: int = 0
     cache_hits: int = 0
     lazy_skips: int = 0
@@ -165,7 +128,6 @@ class SearchStats:
         self.candidates_generated += other.candidates_generated
         self.candidates_eligible += other.candidates_eligible
         self.parents_extended += other.parents_extended
-        self.parents_pruned += other.parents_pruned
         self.rows_scanned += other.rows_scanned
         self.cache_hits += other.cache_hits
         self.lazy_skips += other.lazy_skips
@@ -180,16 +142,6 @@ class MarginalResult:
     count: float
     marginal: float
     stats: SearchStats
-
-
-@dataclass
-class _Entry:
-    """Counted candidate bookkeeping: the ``C`` map of Algorithm 2."""
-
-    weight: float
-    count: float
-    marginal: float
-    extendable: bool  # False once pruned (or weight > mw): never extended
 
 
 def _column_set_weight(
@@ -228,374 +180,6 @@ def _column_set_weight(
     return None
 
 
-class _Searcher:
-    """State for one invocation of Algorithm 2 over a table."""
-
-    def __init__(
-        self,
-        table: Table,
-        wf: WeightFunction,
-        top: np.ndarray,
-        mw: float,
-        measures: np.ndarray | None,
-        max_rule_size: int | None,
-        prune: bool,
-        pool: CountingPool | None = None,
-        first_pick=None,
-    ):
-        self.table = table
-        self.wf = wf
-        self.mw = float(mw)
-        self.prune = prune
-        n = table.n_rows
-        if top.shape != (n,):
-            raise RuleError("top-weight array length must equal table rows")
-        # Normalised once so the serial kernel, the local-fallback
-        # kernel, and the float64 shared-memory segment all see the
-        # same values bit for bit (no-op for float64 input).
-        self.top = np.asarray(top, dtype=np.float64)
-        self.measures = (
-            np.ones(n, dtype=np.float64) if measures is None else measures.astype(np.float64)
-        )
-        self.cat_positions = table.schema.categorical_indexes
-        self.codes: list[np.ndarray] = []
-        self.distinct: list[int] = []
-        for idx in self.cat_positions:
-            col = table.column(idx)
-            assert isinstance(col, CategoricalColumn)
-            self.codes.append(col.codes)
-            self.distinct.append(col.distinct_count)
-        limit = len(self.cat_positions)
-        self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
-        self.fast_weight = _column_set_weight(wf)
-        backend = None
-        if pool is not None and self.fast_weight is not None:
-            # Slow-path weights cannot ship a scalar weight to workers.
-            backend = pool.backend_for(table, self.measures)
-        self.backend = backend
-        # Registration-time level-1 marginal cache (repro.core.first_pick):
-        # valid only for a Count search over exactly this (table, wf, mw)
-        # at the base top (all zeros) — the cold first pick.  Anything
-        # else falls back to the normal scan.
-        usable = (
-            first_pick is not None
-            and self.fast_weight is not None
-            and first_pick.matches(table, wf, self.mw)
-            # Cache arrays were built with all-ones measures (Count);
-            # an explicit all-ones array feeds the kernel identical inputs.
-            and (measures is None or bool((self.measures == 1.0).all()))
-            and not self.top.any()
-        )
-        self.first_pick = first_pick if usable else None
-        if first_pick is not None and not usable:
-            first_pick.misses += 1
-        self.stats = SearchStats()
-        # C of Algorithm 2: every counted candidate, keyed canonically.
-        self.counted: dict[_Key, _Entry] = {}
-        self.best_key: _Key | None = None
-        self.best_entry: _Entry | None = None
-        self.threshold = 0.0  # H of Algorithm 2
-
-    # -- weights ---------------------------------------------------------------
-
-    def _table_columns(self, key: _Key) -> tuple[int, ...]:
-        return _key_columns(key, self.cat_positions)
-
-    def _rule_of(self, key: _Key) -> Rule:
-        return _key_rule(key, self.table, self.cat_positions)
-
-    def _weight_of(self, key: _Key) -> float:
-        if self.fast_weight is not None:
-            return self.fast_weight(self._table_columns(key))
-        return self.wf.weight(self._rule_of(key))
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _offer(self, key: _Key, entry: _Entry) -> None:
-        """Record a counted candidate and update the running best (H).
-
-        Candidates with weight above ``mw`` are ineligible, and — by
-        monotonicity — so is every super-rule, so they are never
-        extended either.
-        """
-        self.counted[key] = entry
-        self.stats.candidates_generated += 1
-        if entry.count <= 0:
-            entry.extendable = False
-            return
-        if entry.weight > self.mw:
-            entry.extendable = False
-            return
-        self.stats.candidates_eligible += 1
-        if self._better(entry, key):
-            self.best_entry = entry
-            self.best_key = key
-            self.threshold = max(self.threshold, entry.marginal)
-
-    def _better(self, entry: _Entry, key: _Key) -> bool:
-        """Deterministic comparison: marginal, then size, then key order."""
-        if self.best_entry is None:
-            return entry.marginal > 0
-        if entry.marginal != self.best_entry.marginal:
-            return entry.marginal > self.best_entry.marginal
-        assert self.best_key is not None
-        if len(key) != len(self.best_key):
-            return len(key) < len(self.best_key)
-        return key < self.best_key
-
-    def _upper_bound(self, key: _Key) -> float:
-        """min over counted immediate sub-rules of the paper's bound.
-
-        A missing sub-rule means an ancestor was pruned, which already
-        proves every super-rule suboptimal, so the bound is −inf.
-        """
-        bound = np.inf
-        for drop in range(len(key)):
-            sub = key[:drop] + key[drop + 1 :]
-            if not sub:
-                continue
-            entry = self.counted.get(sub)
-            if entry is None:
-                return -np.inf
-            slack = entry.marginal + entry.count * max(self.mw - entry.weight, 0.0)
-            bound = min(bound, slack)
-        return bound
-
-    # -- passes -----------------------------------------------------------------
-
-    def _ext_weight(self, parent_key: _Key, pos: int) -> float:
-        """Fast-path weight shared by every value extension of a task."""
-        return _extension_weight(self.fast_weight, self.cat_positions, parent_key, pos)
-
-    def _entries_of(
-        self,
-        parent_key: _Key,
-        pos: int,
-        weight: float,
-        supported: np.ndarray,
-        counts: np.ndarray,
-        marginals: np.ndarray,
-    ) -> list[tuple[_Key, _Entry]]:
-        """Decode one counted (parent, column) task into candidate entries."""
-        return [
-            (
-                parent_key + ((pos, int(supported[i])),),
-                _Entry(weight, float(counts[i]), float(marginals[i]), True),
-            )
-            for i in range(supported.size)
-        ]
-
-    def _count_extensions(
-        self, parent_key: _Key, parent_rows: np.ndarray, pos: int
-    ) -> list[tuple[_Key, _Entry]]:
-        """Count all value extensions of ``parent_key`` on column ``pos``.
-
-        Two weighted bincounts over the parent's covered rows yield the
-        Count and MarginalValue of every candidate ``parent ∧ (pos=v)``
-        (the fast path runs through the shared
-        :func:`~repro.core.parallel.count_extensions_kernel`).
-        """
-        n_values = self.distinct[pos]
-        self.stats.rows_scanned += parent_rows.size
-        if self.fast_weight is not None:
-            weight = self._ext_weight(parent_key, pos)
-            rows = None if parent_rows.size == self.table.n_rows else parent_rows
-            supported, counts, marginals = count_extensions_kernel(
-                self.codes[pos], self.measures, self.top, rows, n_values, weight
-            )
-            return self._entries_of(parent_key, pos, weight, supported, counts, marginals)
-        if parent_rows.size == self.table.n_rows:  # trivial parent: skip the gathers
-            codes = self.codes[pos]
-            measures = self.measures
-            top = self.top
-        else:
-            codes = self.codes[pos][parent_rows]
-            measures = self.measures[parent_rows]
-            top = self.top[parent_rows]
-        counts = np.bincount(codes, weights=measures, minlength=n_values)
-        out: list[tuple[_Key, _Entry]] = []
-        for code in np.nonzero(counts > 0)[0]:
-            key = parent_key + ((pos, int(code)),)
-            weight = self._weight_of(key)
-            covered = codes == code
-            marginal = float(
-                (np.maximum(weight - top[covered], 0.0) * measures[covered]).sum()
-            )
-            out.append((key, _Entry(weight, float(counts[code]), marginal, True)))
-        return out
-
-    def _first_pass(self) -> list[tuple[_Key, np.ndarray]]:
-        """Count every size-1 rule (``Cn = all rules of size 1``).
-
-        Survivors carry the row array of their (trivial) parent — the
-        full-table arange — from which their own covered rows derive
-        lazily if they are ever extended.  With a counting backend, the
-        per-column full-table tasks are dispatched as one batch.
-        """
-        self.stats.passes += 1
-        survivors: list[tuple[_Key, np.ndarray]] = []
-        empty: _Key = ()
-        dtype = np.int32 if self.table.n_rows < 2**31 else np.int64
-        all_rows = np.arange(self.table.n_rows, dtype=dtype)
-        n_cat = len(self.cat_positions)
-        if self.first_pick is not None:
-            # Heap-build over the registration-time cache: the arrays
-            # are the kernel's own output at this exact (table, weight,
-            # base top), so _entries_of sees bit-identical inputs to a
-            # cold scan — no rows are touched.
-            self.first_pick.hits += 1
-            for pos in range(n_cat):
-                weight, supported, counts, marginals = self.first_pick.level1(pos)
-                for key, entry in self._entries_of(empty, pos, weight, supported, counts, marginals):
-                    self._offer(key, entry)
-                    survivors.append((key, all_rows))
-            return survivors
-        if self.backend is not None:
-            specs = [
-                (pos, self.distinct[pos], self._ext_weight(empty, pos))
-                for pos in range(n_cat)
-            ]
-            results = self.backend.count_columns(specs)
-            for pos, _n_values, weight in specs:
-                self.stats.rows_scanned += self.table.n_rows
-                for key, entry in self._entries_of(empty, pos, weight, *results[pos]):
-                    self._offer(key, entry)
-                    survivors.append((key, all_rows))
-            return survivors
-        for pos in range(n_cat):
-            for key, entry in self._count_extensions(empty, all_rows, pos):
-                self._offer(key, entry)
-                survivors.append((key, all_rows))
-        return survivors
-
-    def _rows_of(self, key: _Key, parent_rows: np.ndarray) -> np.ndarray:
-        """Materialise a candidate's covered rows from its parent's rows.
-
-        Vertical row-index propagation: one O(parent support) filter on
-        the candidate's own ``(column, code)`` extension, instead of an
-        O(table size) conjunction over every instantiated column.
-        """
-        pos, code = key[-1]
-        codes = self.codes[pos]
-        if parent_rows.size == codes.size:  # trivial parent: avoid the gather
-            return np.nonzero(codes == code)[0]
-        return parent_rows[codes[parent_rows] == code]
-
-    def _next_pass(
-        self, frontier: list[tuple[_Key, np.ndarray]], size: int
-    ) -> list[tuple[_Key, np.ndarray]]:
-        """Generate, count, and prune size-``size`` candidates.
-
-        A parent whose bound ``MarginalVal + Count·(mw − W)`` falls
-        below the threshold ``H`` has its whole extension subtree cut
-        (the paper's ``Cn`` deletion).  Surviving parents have every
-        value extension counted exactly; a fresh candidate is offered
-        as a potential best rule first (tightening ``H``) and then
-        bound-checked to decide whether *it* will be extended.  A parent
-        that does get extended materialises its covered rows from the
-        rows its own parent propagated down (see :meth:`_rows_of`) —
-        pruned parents never pay for theirs.
-
-        With a counting backend the whole level is counted as one
-        batch: parents are prune-checked against the threshold as of
-        the start of the pass (sound — see the module docstring), their
-        (parent, column) tasks fan out across the pool, and the results
-        are offered in the serial order.
-        """
-        self.stats.passes += 1
-        if self.backend is not None:
-            return self._next_pass_batched(frontier)
-        survivors: list[tuple[_Key, np.ndarray]] = []
-        n_cat = len(self.cat_positions)
-        for parent_key, grandparent_rows in frontier:
-            entry = self.counted[parent_key]
-            if not entry.extendable:
-                continue
-            if self.prune:
-                parent_bound = entry.marginal + entry.count * max(self.mw - entry.weight, 0.0)
-                if parent_bound < self.threshold:
-                    entry.extendable = False
-                    self.stats.parents_pruned += 1
-                    continue
-            last_pos = parent_key[-1][0]
-            if last_pos + 1 >= n_cat:
-                continue
-            parent_rows = self._rows_of(parent_key, grandparent_rows)
-            self.stats.parents_extended += 1
-            for pos in range(last_pos + 1, n_cat):
-                for key, child in self._count_extensions(parent_key, parent_rows, pos):
-                    self._offer(key, child)
-                    if child.extendable and self.prune:
-                        if self._upper_bound(key) < self.threshold:
-                            child.extendable = False
-                            self.stats.parents_pruned += 1
-                    if child.extendable:
-                        survivors.append((key, parent_rows))
-        return survivors
-
-    def _next_pass_batched(
-        self, frontier: list[tuple[_Key, np.ndarray]]
-    ) -> list[tuple[_Key, np.ndarray]]:
-        """Backend variant of :meth:`_next_pass`: one batch per level."""
-        survivors: list[tuple[_Key, np.ndarray]] = []
-        n_cat = len(self.cat_positions)
-        tasks: list[CountTask] = []
-        pending: list[tuple[_Key, np.ndarray, int, float, int]] = []
-        for parent_key, grandparent_rows in frontier:
-            entry = self.counted[parent_key]
-            if not entry.extendable:
-                continue
-            if self.prune:
-                parent_bound = entry.marginal + entry.count * max(self.mw - entry.weight, 0.0)
-                if parent_bound < self.threshold:
-                    entry.extendable = False
-                    self.stats.parents_pruned += 1
-                    continue
-            last_pos = parent_key[-1][0]
-            if last_pos + 1 >= n_cat:
-                continue
-            parent_rows = self._rows_of(parent_key, grandparent_rows)
-            self.stats.parents_extended += 1
-            rows_arg = None if parent_rows.size == self.table.n_rows else parent_rows
-            for pos in range(last_pos + 1, n_cat):
-                weight = self._ext_weight(parent_key, pos)
-                task_id = len(tasks)
-                tasks.append(CountTask(task_id, pos, self.distinct[pos], weight, rows_arg))
-                pending.append((parent_key, parent_rows, pos, weight, task_id))
-        results = self.backend.count_batch(tasks) if tasks else {}
-        for parent_key, parent_rows, pos, weight, task_id in pending:
-            self.stats.rows_scanned += parent_rows.size
-            for key, child in self._entries_of(parent_key, pos, weight, *results[task_id]):
-                self._offer(key, child)
-                if child.extendable and self.prune:
-                    if self._upper_bound(key) < self.threshold:
-                        child.extendable = False
-                        self.stats.parents_pruned += 1
-                if child.extendable:
-                    survivors.append((key, parent_rows))
-        return survivors
-
-    def run(self) -> MarginalResult | None:
-        if self.backend is not None:
-            self.backend.set_top(self.top)
-        frontier = self._first_pass()
-        size = 1
-        while frontier and size < self.max_rule_size:
-            size += 1
-            frontier = self._next_pass(frontier, size)
-        if self.best_key is None or self.best_entry is None:
-            return None
-        if self.best_entry.marginal <= 0:
-            return None
-        return MarginalResult(
-            rule=self._rule_of(self.best_key),
-            weight=self.best_entry.weight,
-            count=self.best_entry.count,
-            marginal=self.best_entry.marginal,
-            stats=self.stats,
-        )
-
-
 def find_best_marginal_rule(
     table: Table,
     wf: WeightFunction,
@@ -610,6 +194,11 @@ def find_best_marginal_rule(
     first_pick=None,
 ) -> MarginalResult | None:
     """Return the rule of weight ≤ ``mw`` with highest marginal value.
+
+    One search through a cold
+    :class:`~repro.core.search_cache.SearchContext`; a caller running
+    several searches over one configuration (the BRS greedy) keeps the
+    context instead, so later searches reuse its counted lattice.
 
     Parameters
     ----------
@@ -656,15 +245,17 @@ def find_best_marginal_rule(
 
     Returns ``None`` when no rule adds positive marginal value.
     """
-    searcher = _Searcher(
+    from repro.core.search_cache import SearchContext  # imports this module
+
+    context = SearchContext(
         table,
         wf,
-        top,
         mw,
-        measures,
-        max_rule_size,
-        prune,
-        pool=resolve_pool(pool, n_workers),
+        measures=measures,
+        max_rule_size=max_rule_size,
+        prune=prune,
+        n_workers=n_workers,
+        pool=pool,
         first_pick=first_pick,
     )
-    return searcher.run()
+    return context.find_best(top)

@@ -1,6 +1,6 @@
 """Parallel candidate counting over shared memory — the first-pick backend.
 
-The incremental engine (:mod:`repro.core.search_cache`) made picks
+The cached search (:mod:`repro.core.search_cache`) made picks
 2..k of a BRS run nearly free, so interactive latency is dominated by
 the *first* pick's level-wise a-priori counting: for every surviving
 (parent, extension-column) pair, two weighted ``np.bincount`` passes
@@ -30,12 +30,11 @@ Architecture
   categorical position, an optional covered-row index array, and the
   scalar fast-path weight — and receives back the supported codes with
   their Counts and MarginalValues.
-* **The backend seam.**  The search engines talk to a
-  :class:`CountingBackend`: :class:`~repro.core.marginal._Searcher`
-  batches each level pass, :class:`~repro.core.search_cache.SearchContext`
-  batches its size-1 build and per-candidate expansions.  When no
-  backend is configured (``n_workers=None``/``1``), both engines run
-  their original serial code paths, byte for byte.
+* **The backend seam.**  The search talks to a :class:`CountingBackend`:
+  :class:`~repro.core.search_cache.SearchContext` batches its size-1
+  build and per-candidate expansions.  When no backend is configured
+  (``n_workers=None``/``1``), it runs its serial code path, byte for
+  byte.
 * **Registration-time precompute.**  The serving catalog's first-pick
   marginal cache (:mod:`repro.core.first_pick`) is a third client of
   :func:`count_extensions_kernel`: it runs the level-1 passes once per
@@ -49,13 +48,10 @@ Architecture
   (parent, column) bincount pair — row ranges are never split, so
   float accumulation order inside every bincount is exactly the serial
   order and the returned Counts/MarginalValues are bit-identical.
-  Batching a level only changes *when* the a-priori threshold is
-  consulted (a batched pass prunes with the threshold as of the start
-  of the pass, the serial pass with a running threshold); pruning with
-  any valid threshold never removes a candidate that could beat or tie
-  the final best, so the selected rule lists are identical — the
-  equivalence suite ``tests/core/test_parallel.py`` pins this across
-  weight functions and worker counts.
+  Batching only changes where a task runs, never what it returns, so
+  the selected rule lists are identical — the equivalence suite
+  ``tests/core/test_parallel.py`` pins this across weight functions
+  and worker counts.
 
 Serial fallbacks
 ----------------
@@ -180,7 +176,7 @@ def count_extensions_kernel(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Count all value extensions of one parent on one column.
 
-    The counting primitive shared by the serial engines and the worker
+    The counting primitive shared by the serial search and the worker
     processes — keeping it in one place is what makes the parallel
     backend bit-identical to the serial path.  Two weighted bincounts
     over the parent's covered rows (``rows``; ``None`` means the whole
@@ -417,7 +413,7 @@ class _TableExport:
 
 @dataclass
 class CountingBackend:
-    """The seam the search engines count through.
+    """The seam the search counts through.
 
     Built by :meth:`CountingPool.backend_for` for one (table, measures)
     pair.  :meth:`set_top` publishes the per-tuple selected-weight
@@ -460,10 +456,9 @@ class CountingBackend:
     ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Count whole-table extensions for ``(pos, n_values, weight)`` specs.
 
-        The shared wrapper for the engines' size-1 passes — both
-        :mod:`repro.core.marginal` and :mod:`repro.core.search_cache`
-        build their first level through this, so the task construction
-        cannot drift between them.  Results are keyed by ``pos``.
+        The search's size-1 pass
+        (:meth:`repro.core.search_cache.SearchContext._build`) runs
+        through this.  Results are keyed by ``pos``.
         """
         return self.count_batch(
             [CountTask(pos, pos, n_values, weight, None) for pos, n_values, weight in specs]
@@ -583,7 +578,7 @@ class CountingPool:
     n_workers:
         Worker processes; ``0`` means ``os.cpu_count()``.  A pool built
         with ``n_workers <= 1`` is permanently serial — every backend
-        request returns ``None`` and the engines keep their in-process
+        request returns ``None`` and the search keeps its in-process
         paths (the documented ``n_workers=1`` fallback).
     min_table_rows:
         Tables smaller than this are never exported; sub-second already,

@@ -1,12 +1,14 @@
-"""Cross-pick candidate cache + CELF lazy greedy — the incremental engine.
+"""The best-marginal-rule search: Algorithm 2 with a cross-pick cache.
 
-The BRS greedy (:mod:`repro.core.brs`) runs ``k`` best-marginal-rule
-searches over the *same* table under the *same* weight function; the
-only thing that changes between picks is the per-tuple ``top`` array.
-A from-scratch search therefore regenerates, recounts, and rescans a
-candidate lattice whose keys, weights, Counts, and covered-row sets
-are identical every time.  :class:`SearchContext` persists exactly that
-invariant state across picks:
+:class:`SearchContext` is the one implementation of the paper's
+Algorithm 2 (Section 3.5); :func:`repro.core.marginal.find_best_marginal_rule`
+is a cold context running a single search.  The BRS greedy
+(:mod:`repro.core.brs`) runs ``k`` searches over the *same* table under
+the *same* weight function; the only thing that changes between picks
+is the per-tuple ``top`` array.  A cold search per pick would
+regenerate, recount, and rescan a candidate lattice whose keys,
+weights, Counts, and covered-row sets are identical every time, so the
+context persists exactly that invariant state across picks:
 
 * **Candidate cache** — every eligible candidate ever counted is kept
   with its weight, (measure-weighted) Count, and covered-row index
@@ -20,8 +22,7 @@ invariant state across picks:
   candidate's marginal value only *decreases* as the selected set
   grows: a marginal computed in an earlier pick is a valid upper bound
   now.  Candidates live in a max-heap keyed by their stale marginal
-  (ties: smaller size, then key order — exactly the from-scratch
-  searcher's ``_better`` order); a search repeatedly re-evaluates the
+  (ties: smaller size, then key order); a search repeatedly re-evaluates the
   top entry under the current ``top`` until the top entry is fresh.
   Every entry below a fresh top is provably no better, so it is never
   touched (counted in ``SearchStats.lazy_skips``).
@@ -38,19 +39,19 @@ invariant state across picks:
   and the lazy loop resumes.  A search ends only when no frontier bound
   reaches the settled best.
 
-**Correctness.**  The from-scratch search returns the maximum over all
-supported candidates of weight ≤ ``mw`` under the total order
-(marginal desc, size asc, key asc) — pruning provably never removes
-the argmax, and the order does not depend on exploration order.  The
-incremental search returns the maximum of the same order over cached
-candidates (heap order is the same total order), and the frontier-bound
-loop guarantees no uncounted candidate can beat (or tie) the settled
-best: every uncounted candidate is a descendant of some frontier entry,
-whose fresh bound dominates the descendant's marginal.  Ties are
-expanded (``bound >= best``), not skipped, so tie-breaking by size/key
-also agrees.  The two engines therefore produce identical rule
-sequences — the equivalence tests in ``tests/core/test_incremental.py``
-assert this across weight functions, measures, pruning, and size caps.
+**Correctness.**  A search returns the maximum over all supported
+candidates of weight ≤ ``mw`` under the total order (marginal desc,
+size asc, key asc).  It takes the maximum over cached candidates (heap
+order is that total order), and the frontier-bound loop guarantees no
+uncounted candidate can beat (or tie) the settled best: every uncounted
+candidate is a descendant of some frontier entry, whose fresh bound
+dominates the descendant's marginal.  Ties are expanded
+(``bound >= best``), not skipped, so tie-breaking by size/key holds
+too.  The result therefore does not depend on what earlier picks
+cached: a warm context returns exactly what a cold search per pick
+returns, which ``tests/core/test_incremental.py`` asserts across weight
+functions, measures, pruning, and size caps, while cold searches are
+checked against the brute-force oracle (:mod:`repro.core.exhaustive`).
 
 **Parallel counting.**  The context's counting passes — the size-1
 build (the only full-table passes) and every frontier expansion — run
@@ -153,7 +154,7 @@ class _Candidate:
 
 
 class SearchContext:
-    """Persistent incremental-search state for one BRS configuration.
+    """Persistent search state for one BRS configuration.
 
     Parameters mirror :func:`repro.core.marginal.find_best_marginal_rule`
     minus ``top``, which is supplied per search via :meth:`find_best`.
@@ -457,16 +458,13 @@ class SearchContext:
         parent's rows instead of materialising their own (see
         :meth:`_rows`).  Children heavier than ``mw`` are discarded
         outright — they can never be a best rule and (by monotonicity)
-        neither can any super-rule, so the from-scratch searcher never
-        extends them either.
+        neither can any super-rule.
 
         The counting arithmetic runs through the shared
         :func:`~repro.core.parallel.count_extensions_kernel` on the
-        fast path, keeping it in lockstep with
-        ``_Searcher._count_extensions`` in :mod:`repro.core.marginal`
-        *and* with the worker processes — the engines' bit-identical
-        guarantee depends on it, and the equivalence suites
-        (``tests/core/test_incremental.py``,
+        fast path, keeping it in lockstep with the worker processes and
+        the first-pick cache — the bit-identical guarantee depends on
+        it, and the equivalence suites (``tests/core/test_incremental.py``,
         ``tests/core/test_parallel.py``) pin it.
         """
         n_values = self.distinct[pos]
@@ -666,9 +664,9 @@ class SearchContext:
                 # Accumulate sequentially in row order — bit-identical to
                 # the counting kernel's bincount, so a marginal computed
                 # here equals the one a counting pass (this context's
-                # build, a sibling clone's, or the scratch engine's)
+                # build, a sibling clone's, or a cold context's)
                 # produces.  numpy's pairwise .sum() differs in the last
-                # ulp, enough to flip near-ties between engines.
+                # ulp, enough to flip near-ties between warm and cold.
                 cand.marginal = float(
                     np.bincount(
                         np.zeros(rows.size, dtype=np.intp), weights=gains, minlength=1
@@ -691,7 +689,7 @@ class SearchContext:
 
         The heap orders by (stale marginal desc, size asc, key asc);
         stale values upper-bound fresh ones, so a fresh top dominates
-        everything below it under the searcher's ``_better`` order.
+        everything below it under the search's total order.
         """
         heap = self._vheap
         while heap:
@@ -745,9 +743,8 @@ class SearchContext:
         """Return the best marginal rule under ``top`` — Algorithm 2,
         served from the cache.
 
-        Provably identical to
-        :func:`repro.core.marginal.find_best_marginal_rule` on the same
-        configuration (see the module docstring's correctness argument).
+        Provably identical to a cold search on the same configuration
+        (see the module docstring's correctness argument).
         The returned ``stats`` cover this search only;
         :attr:`total_stats` accumulates across searches.
 

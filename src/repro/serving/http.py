@@ -44,7 +44,8 @@ refills), a dead/wedged/circuit-open shard or an exceeded deadline ->
 503 with ``Retry-After``, a client whose socket stalls mid-request ->
 408 (see ``request_timeout``), any other
 :class:`~repro.errors.ReproError` or malformed body (bad JSON, a
-non-JSON ``Content-Type``, out-of-range column, ...) -> 400,
+non-JSON ``Content-Type``, out-of-range column, ...) -> 400 (a
+malformed ``Content-Length`` also closes the connection),
 everything else -> 500.  Requests may carry an ``X-Deadline`` header
 (seconds): work still queued or running at the deadline is abandoned
 and answered 503 (docs/SERVING.md, "Fault tolerance").  The body always carries
@@ -241,8 +242,28 @@ def make_handler(
             self.end_headers()
             self.wfile.write(body)
 
+        def _content_length(self) -> int:
+            """The declared body length; no header means no body.
+
+            Only a plain decimal (RFC 9110 ``1*DIGIT``), possibly
+            repeated with the same value, frames a body.  Anything else
+            (a sign, a fraction, hex, non-ASCII digits, conflicting
+            duplicates) leaves the end of the body unknown, so the
+            request is refused and the connection closed instead of
+            read on.
+            """
+            values = {v.strip(" \t") for v in self.headers.get_all("Content-Length") or ()}
+            if not values:
+                return 0
+            if len(values) == 1:
+                (value,) = values
+                if value.isascii() and value.isdigit():
+                    return int(value)
+            self.close_connection = True
+            raise ReproError(f"malformed Content-Length {', '.join(sorted(values))!r}")
+
         def _body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._content_length()
             if length == 0:
                 return {}
             # A declared non-JSON body is a client bug worth a clear
@@ -319,6 +340,8 @@ def make_handler(
             if status in (429, 503) and retry_after is not None:
                 payload.setdefault("retry_after", retry_after)
                 headers = {"Retry-After": str(max(1, int(retry_after + 1)))}
+            if self.close_connection:
+                headers = {**(headers or {}), "Connection": "close"}
             try:
                 self._json(status, payload, headers)
             except OSError:  # pragma: no cover - peer already gone

@@ -9,9 +9,9 @@ on simulated disk — routes every expansion through the
 counts by the sample's ``N_s`` and pre-fetching samples for the newly
 displayed leaves in the background.
 
-Expansions run on the incremental search engine; an in-memory session
-additionally keeps the :class:`~repro.core.search_cache.SearchContext`
-of every node it has expanded, so re-expanding a node (say after a
+Expansions run through a
+:class:`~repro.core.search_cache.SearchContext`; an in-memory session
+additionally keeps the context of every node it has expanded, so re-expanding a node (say after a
 collapse, or with a larger ``k``) reuses the cached candidate lattice
 instead of re-filtering and re-mining the sub-table.  Sampled (disk)
 sessions do not retain contexts — they would pin evicted sample tables

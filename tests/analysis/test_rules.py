@@ -221,9 +221,9 @@ def test_lock_blocking_scoped_to_serving():
 
 def test_typed_errors_bare_valueerror_flagged_in_core_and_serving():
     source = """
-    def brs_iter(engine):
-        if engine not in ("incremental", "scratch"):
-            raise ValueError(f"unknown search engine {engine!r}")
+    def brs_time_limited(time_limit_seconds):
+        if time_limit_seconds <= 0:
+            raise ValueError("time_limit_seconds must be positive")
     """
     for relpath in ("repro/core/brs.py", "repro/serving/server.py"):
         findings = lint(source, relpath=relpath)
@@ -237,9 +237,9 @@ def test_typed_errors_reproerror_subclass_passes():
         """
         from repro.errors import EngineError
 
-        def brs_iter(engine):
-            if engine not in ("incremental", "scratch"):
-                raise EngineError(f"unknown search engine {engine!r}")
+        def brs_time_limited(time_limit_seconds):
+            if time_limit_seconds <= 0:
+                raise EngineError("time_limit_seconds must be positive")
         """,
         relpath="repro/core/brs.py",
     )

@@ -1,10 +1,12 @@
-"""Shared fixtures: small deterministic tables and cached paper datasets."""
+"""Shared fixtures: small deterministic tables and cached paper datasets,
+plus the cold-greedy reference the search-cache suites compare against."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import BRSResult, RuleList, SearchStats, cover_mask, find_best_marginal_rule
 from repro.datasets import generate_census, generate_marketing, generate_retail
 from repro.table import Schema, Table
 
@@ -89,3 +91,41 @@ def random_table(
         tuple(f"v{rng.integers(domain)}" for _ in range(n_columns)) for _ in range(n_rows)
     ]
     return Table.from_rows(Schema.categorical(names), rows)
+
+
+def cold_greedy(
+    table: Table,
+    wf,
+    k: int,
+    mw: float,
+    *,
+    measures: np.ndarray | None = None,
+    initial_top: np.ndarray | None = None,
+    **search,
+) -> BRSResult:
+    """The BRS greedy as ``k`` independent cold searches.
+
+    Each pick is one :func:`find_best_marginal_rule` call with nothing
+    carried over from the previous pick except ``top``, which is raised
+    over the picked rule's ``cover_mask`` — the reference a warm
+    :class:`~repro.core.search_cache.SearchContext` must reproduce bit
+    for bit.  ``search`` passes through (``max_rule_size``, ``prune``,
+    ``pool``, ``first_pick``).
+    """
+    top = (
+        np.zeros(table.n_rows, dtype=np.float64)
+        if initial_top is None
+        else initial_top.astype(np.float64).copy()
+    )
+    picks = []
+    stats = SearchStats()
+    while len(picks) < k:
+        result = find_best_marginal_rule(table, wf, top, mw, measures=measures, **search)
+        if result is None:
+            break
+        picks.append(result)
+        stats.merge(result.stats)
+        mask = cover_mask(result.rule, table)
+        top[mask] = np.maximum(top[mask], result.weight)
+    rule_list = RuleList((p.rule for p in picks), table, wf, measures)
+    return BRSResult(rule_list=rule_list, picks=tuple(picks), stats=stats)

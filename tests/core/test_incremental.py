@@ -1,10 +1,12 @@
-"""Equivalence tests: the incremental engine ≡ the from-scratch greedy.
+"""Equivalence tests: the warm search context ≡ a cold search per pick.
 
-The cached/CELF engine (:mod:`repro.core.search_cache`) must return
+The cached/CELF greedy (:mod:`repro.core.search_cache`) must return
 *byte-identical* rule lists, weights, counts, and marginals to a cold
-:func:`find_best_marginal_rule` per pick, across weight functions,
-Sum vs Count measures, pruning on/off, and rule-size caps — plus reuse
-the cache correctly across runs, drill-downs, and sessions.
+:func:`find_best_marginal_rule` per pick (``tests.conftest.cold_greedy``),
+across weight functions, Sum vs Count measures, pruning on/off, and
+rule-size caps — plus reuse the cache correctly across runs,
+drill-downs, and sessions.  The cold search itself is pinned against
+the brute-force oracle in ``test_marginal.py``.
 """
 
 from __future__ import annotations
@@ -23,15 +25,16 @@ from repro.core import (
     StarConstrainedWeight,
     brs,
     brs_iter,
+    cover_mask,
     find_best_marginal_rule,
     rule_drilldown,
     star_drilldown,
     tuple_measures,
 )
 from repro.core.marginal import SearchStats
-from repro.errors import EngineError, RuleError
+from repro.errors import RuleError
 from repro.session import DrillDownSession
-from tests.conftest import random_table
+from tests.conftest import cold_greedy, random_table
 
 
 def _weighting(name: str, table):
@@ -65,6 +68,24 @@ def _assert_identical(a, b):
         )
 
 
+def _cold_drilldown(table, parent, wf, k, mw, *, column=None):
+    """A rule (or, with ``column``, star) drill-down mined by cold_greedy.
+
+    The Section 3.1 reduction spelled out independently of
+    :mod:`repro.core.drilldown`: filter to the parent's rows, lift the
+    weighting through the parent, seed a rule drill-down's ``top`` with
+    the parent's weight, then merge the mined rules with the parent.
+    """
+    sub = table.filter(cover_mask(parent, table)) if not parent.is_trivial else table
+    lifted = MergedWeight(wf, parent) if not parent.is_trivial else wf
+    if column is None:
+        seed = np.full(sub.n_rows, wf.weight(parent))
+        mined = cold_greedy(sub, lifted, k, mw, initial_top=seed)
+    else:
+        mined = cold_greedy(sub, StarConstrainedWeight(lifted, column), k, mw)
+    return tuple(rule.merge(parent) for rule in mined.rules)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "weighting", ["size", "bits", "size_minus_one", "merged", "star"]
@@ -72,29 +93,25 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("prune", [True, False])
     def test_weightings_on_tiny_table(self, tiny_table, weighting, prune):
         wf = _weighting(weighting, tiny_table)
-        scratch = brs(tiny_table, wf, 5, 3.0, prune=prune, engine="scratch")
-        lazy = brs(tiny_table, wf, 5, 3.0, prune=prune, engine="incremental")
-        _assert_identical(scratch, lazy)
+        cold = cold_greedy(tiny_table, wf, 5, 3.0, prune=prune)
+        lazy = brs(tiny_table, wf, 5, 3.0, prune=prune)
+        _assert_identical(cold, lazy)
 
     @pytest.mark.parametrize("max_rule_size", [None, 1, 2])
     def test_rule_size_caps(self, tiny_table, max_rule_size):
         wf = SizeWeight()
-        scratch = brs(
-            tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size, engine="scratch"
-        )
+        cold = cold_greedy(tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size)
         lazy = brs(tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size)
-        _assert_identical(scratch, lazy)
+        _assert_identical(cold, lazy)
 
     @pytest.mark.parametrize("measure", [None, "Sales"])
     @pytest.mark.parametrize("prune", [True, False])
     def test_sum_vs_count_measures(self, measure_table, measure, prune):
         wf = SizeWeight()
         measures = tuple_measures(measure_table, measure)
-        scratch = brs(
-            measure_table, wf, 4, 2.0, measures=measures, prune=prune, engine="scratch"
-        )
+        cold = cold_greedy(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
         lazy = brs(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
-        _assert_identical(scratch, lazy)
+        _assert_identical(cold, lazy)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tables(self, seed):
@@ -102,30 +119,30 @@ class TestEngineEquivalence:
         table = random_table(rng, n_rows=40, n_columns=4, domain=3)
         for weighting in ("size", "bits", "star"):
             wf = _weighting(weighting, table)
-            scratch = brs(table, wf, 6, 3.0, engine="scratch")
+            cold = cold_greedy(table, wf, 6, 3.0)
             lazy = brs(table, wf, 6, 3.0)
-            _assert_identical(scratch, lazy)
+            _assert_identical(cold, lazy)
 
     def test_initial_top_seeding(self, tiny_table):
         wf = SizeWeight()
         seed = np.full(tiny_table.n_rows, 1.0)
-        scratch = brs(tiny_table, wf, 3, 3.0, initial_top=seed, engine="scratch")
+        cold = cold_greedy(tiny_table, wf, 3, 3.0, initial_top=seed)
         lazy = brs(tiny_table, wf, 3, 3.0, initial_top=seed)
-        _assert_identical(scratch, lazy)
+        _assert_identical(cold, lazy)
 
     def test_exhausts_identically(self, tiny_table):
-        """Both engines stop at the same pick when marginals dry up."""
+        """Warm and cold stop at the same pick when marginals dry up."""
         wf = SizeWeight()
-        scratch = brs(tiny_table, wf, 100, 3.0, engine="scratch")
+        cold = cold_greedy(tiny_table, wf, 100, 3.0)
         lazy = brs(tiny_table, wf, 100, 3.0)
-        assert len(scratch.picks) == len(lazy.picks) < 100
-        _assert_identical(scratch, lazy)
+        assert len(cold.picks) == len(lazy.picks) < 100
+        _assert_identical(cold, lazy)
 
     def test_streaming_iter_equivalence(self, tiny_table):
         wf = SizeWeight()
-        scratch = [r.rule for r in brs_iter(tiny_table, wf, 3.0, engine="scratch")]
+        cold = [p.rule for p in cold_greedy(tiny_table, wf, 100, 3.0).picks]
         lazy = [r.rule for r in brs_iter(tiny_table, wf, 3.0)]
-        assert scratch == lazy
+        assert cold == lazy
 
     def test_matches_single_search_sequence(self, tiny_table):
         """context.find_best ≡ find_best_marginal_rule pick by pick."""
@@ -145,8 +162,6 @@ class TestEngineEquivalence:
                 cold.count,
                 cold.marginal,
             )
-            from repro.core import cover_mask
-
             mask = cover_mask(cold.rule, tiny_table)
             top[mask] = np.maximum(top[mask], cold.weight)
 
@@ -170,7 +185,7 @@ class TestContextReuse:
         ctx = SearchContext(tiny_table, wf, 3.0)
         small = brs(tiny_table, wf, 2, 3.0, context=ctx)
         large = brs(tiny_table, wf, 4, 3.0, context=ctx)
-        fresh = brs(tiny_table, wf, 4, 3.0, engine="scratch")
+        fresh = cold_greedy(tiny_table, wf, 4, 3.0)
         assert [p.rule for p in large.picks[:2]] == [p.rule for p in small.picks]
         _assert_identical(fresh, large)
 
@@ -190,13 +205,6 @@ class TestContextReuse:
             brs(tiny_table, wf, 2, 3.0, prune=False, context=ctx)
         with pytest.raises(RuleError):
             brs(tiny_table, SizeWeight(), 2, 3.0, context=ctx)  # different wf object
-
-    def test_unknown_engine_rejected(self, tiny_table):
-        # EngineError subclasses ValueError, so both spellings catch it.
-        with pytest.raises(EngineError):
-            brs(tiny_table, SizeWeight(), 2, 3.0, engine="warp")
-        with pytest.raises(ValueError):
-            brs(tiny_table, SizeWeight(), 2, 3.0, engine="warp")
 
 
 class TestDrilldownReuse:
@@ -220,15 +228,13 @@ class TestDrilldownReuse:
         assert second.stats.candidates_generated < first.stats.candidates_generated / 2
         assert second.stats.cache_hits > 0
 
-    def test_rule_drilldown_matches_scratch(self, marketing7):
+    def test_rule_drilldown_matches_cold(self, marketing7):
         wf = SizeWeight()
         parent = Rule.from_items(
             marketing7.n_columns, {0: marketing7.categorical(0).decode(0)}
         )
         lazy = rule_drilldown(marketing7, parent, wf, 3, 5.0)
-        cold = rule_drilldown(marketing7, parent, wf, 3, 5.0, engine="scratch")
-        assert cold.context is None
-        assert lazy.rules == cold.rules
+        assert lazy.rules == _cold_drilldown(marketing7, parent, wf, 3, 5.0)
 
     def test_stale_context_rebuilt(self, tiny_table, measure_table):
         """A context from another table/parent is ignored, not an error."""
@@ -238,8 +244,7 @@ class TestDrilldownReuse:
         first = rule_drilldown(tiny_table, parent_a, wf, 2, 3.0)
         second = rule_drilldown(tiny_table, parent_b, wf, 2, 3.0, context=first.context)
         assert second.context is not first.context
-        cold = rule_drilldown(tiny_table, parent_b, wf, 2, 3.0, engine="scratch")
-        assert second.rules == cold.rules
+        assert second.rules == _cold_drilldown(tiny_table, parent_b, wf, 2, 3.0)
 
     def test_star_drilldown_context_roundtrip(self, tiny_table):
         wf = SizeWeight()
@@ -250,8 +255,7 @@ class TestDrilldownReuse:
         )
         assert second.context is first.context
         assert first.rules == second.rules
-        cold = star_drilldown(tiny_table, parent, 1, wf, 2, 3.0, engine="scratch")
-        assert first.rules == cold.rules
+        assert first.rules == _cold_drilldown(tiny_table, parent, wf, 2, 3.0, column=1)
 
 
 class TestSessionReuse:
@@ -283,8 +287,3 @@ class TestSearchStatsCounters:
         assert a.cache_hits == 5
         assert a.lazy_skips == 12
         assert a.rows_scanned == 10
-
-    def test_scratch_engine_reports_no_cache_work(self, tiny_table):
-        result = brs(tiny_table, SizeWeight(), 3, 3.0, engine="scratch")
-        assert result.stats.cache_hits == 0
-        assert result.stats.lazy_skips == 0

@@ -2,7 +2,8 @@
 
 The cache's contract is *bit-identity*: a search served cached level-1
 (or level-2) marginals must return exactly — not approximately — the
-rule lists the cold scan returns, across both engines, every weighting
+rule lists the cold scan returns, through a warm search context and
+through a cold search per pick, every weighting
 in the fast family, near-tie tables, and mw edge values.  The lifecycle
 half pins strict ``(table fingerprint, weighting, mw)`` keying: a
 changed table, a corrupt file, or a mismatched parameter must rebuild,
@@ -36,7 +37,7 @@ from repro.serving.marginals import (
 )
 from repro.session import DrillDownSession
 from repro.table import Schema, Table
-from tests.conftest import random_table
+from tests.conftest import cold_greedy, random_table
 
 WEIGHTINGS = {
     "size": SizeWeight,
@@ -49,6 +50,13 @@ def make_weight(name: str, table: Table):
     if name == "bits":
         return BitsWeight.for_table(table)
     return WEIGHTINGS[name]()
+
+
+def greedy(search: str, table, wf, k, mw, **kwargs):
+    """BRS through one search context, or ``k`` cold searches."""
+    if search == "cold":
+        return cold_greedy(table, wf, k, mw, **kwargs)
+    return brs(table, wf, k, mw, **kwargs)
 
 
 def picks_of(result):
@@ -68,26 +76,26 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("weighting", ["size", "bits", "size_minus_one"])
     @pytest.mark.parametrize("mw", [0.5, 3.0, 100.0])
-    @pytest.mark.parametrize("engine", ["incremental", "scratch"])
-    def test_brs_bit_identical(self, seed, weighting, mw, engine):
+    @pytest.mark.parametrize("search", ["incremental", "cold"])
+    def test_brs_bit_identical(self, seed, weighting, mw, search):
         rng = np.random.default_rng(seed)
         table = random_table(rng, n_rows=40, n_columns=4, domain=4)
         wf = make_weight(weighting, table)
         cache = build_first_pick_cache(table, wf, mw)
         assert cache is not None
-        cold = brs(table, wf, 3, mw, engine=engine)
-        warm = brs(table, wf, 3, mw, engine=engine, first_pick=cache)
+        cold = greedy(search, table, wf, 3, mw)
+        warm = greedy(search, table, wf, 3, mw, first_pick=cache)
         assert picks_of(warm) == picks_of(cold)
         assert warm.rule_list.rules == cold.rule_list.rules
         assert cache.hits >= 1
 
-    @pytest.mark.parametrize("engine", ["incremental", "scratch"])
-    def test_exact_ties_break_identically(self, engine):
+    @pytest.mark.parametrize("search", ["incremental", "cold"])
+    def test_exact_ties_break_identically(self, search):
         table = near_tie_table()
         wf = SizeWeight()
         cache = build_first_pick_cache(table, wf, 3.0)
-        cold = brs(table, wf, 4, 3.0, engine=engine)
-        warm = brs(table, wf, 4, 3.0, engine=engine, first_pick=cache)
+        cold = greedy(search, table, wf, 4, 3.0)
+        warm = greedy(search, table, wf, 4, 3.0, first_pick=cache)
         assert picks_of(warm) == picks_of(cold)
 
     def test_first_pick_search_parity_and_hit(self, tiny_table):
@@ -169,8 +177,8 @@ class TestLevel2Pairs:
         table = random_table(rng, n_rows=60, n_columns=4, domain=3)
         wf = SizeWeight()
         cache = build_first_pick_cache(table, wf, 4.0, pair_limit=16, pair_threshold=1)
-        cold = brs(table, wf, 5, 4.0, engine="incremental")
-        warm = brs(table, wf, 5, 4.0, engine="incremental", first_pick=cache)
+        cold = brs(table, wf, 5, 4.0)
+        warm = brs(table, wf, 5, 4.0, first_pick=cache)
         assert picks_of(warm) == picks_of(cold)
         assert cache.pairs_built > 0
 

@@ -2,9 +2,9 @@
 
 The parallel backend (:mod:`repro.core.parallel`) must produce
 *bit-identical* rule lists, weights, counts, and marginals to the
-serial engines across weight functions, engines, and worker counts —
-a task is one whole (parent, column) bincount pair, so not even float
-accumulation order may differ.  The lifecycle half covers the serial
+serial search across weight functions, warm and cold searches, and
+worker counts — a task is one whole (parent, column) bincount pair, so
+not even float accumulation order may differ.  The lifecycle half covers the serial
 fallbacks (``n_workers=1``, small tables, slow-path weights, closed
 pools) and shared-memory cleanup on pool/session close.
 """
@@ -33,6 +33,7 @@ from repro.core import (
     tuple_measures,
 )
 from repro.session import DrillDownSession
+from tests.conftest import cold_greedy
 
 try:
     from multiprocessing import shared_memory
@@ -89,11 +90,12 @@ class TestParallelEquivalence:
             parallel = brs(marketing7, wf, 4, 5.0, pool=pool)
         _assert_identical(serial, parallel)
 
-    def test_scratch_engine(self, marketing7, pool2):
+    def test_cold_search_per_pick(self, marketing7, pool2):
         wf = SizeWeight()
-        serial = brs(marketing7, wf, 4, 5.0, engine="scratch")
-        parallel = brs(marketing7, wf, 4, 5.0, engine="scratch", pool=pool2)
+        serial = cold_greedy(marketing7, wf, 4, 5.0)
+        parallel = cold_greedy(marketing7, wf, 4, 5.0, pool=pool2)
         _assert_identical(serial, parallel)
+        _assert_identical(serial, brs(marketing7, wf, 4, 5.0, pool=pool2))
 
     def test_census_workload_dispatches(self, census_small, pool2):
         wf = SizeWeight()

@@ -181,9 +181,9 @@ class TestErrorMappingRegressions:
     ):
         """core validation errors travel the wire under their own names.
 
-        ``brs_iter``/``params`` used to raise bare ``ValueError``: the
-        mapper answered 400, but the body said ``"ValueError"`` — the
-        client could not tell a bad engine knob from any other bad
+        ``brs_time_limited``/``params`` used to raise bare ``ValueError``:
+        the mapper answered 400, but the body said ``"ValueError"`` — the
+        client could not tell a bad search knob from any other bad
         input, and ``except ReproError`` boundaries missed it.  Now
         they raise :class:`EngineError` / :class:`ParameterError`
         (``ReproError`` subclasses) and the wire carries the type.
@@ -196,13 +196,13 @@ class TestErrorMappingRegressions:
         root = {"rule": [None, None, None, None]}
 
         def bad_engine(*args, **kwargs):
-            raise EngineError("unknown search engine 'warp'")
+            raise EngineError("time_limit_seconds must be positive")
 
         monkeypatch.setattr(tier, "expand", bad_engine)
         status, body = call(base, "POST", f"/sessions/{sid}/expand", root)
         assert status == 400
         assert body["error"] == "EngineError"
-        assert "warp" in body["message"]
+        assert "time_limit_seconds" in body["message"]
 
         def bad_params(*args, **kwargs):
             raise ParameterError("target_fraction must be in [0, 1]")
@@ -215,15 +215,13 @@ class TestErrorMappingRegressions:
     def test_core_validation_raises_typed_and_legacy_catchable(self):
         """The dual inheritance contract: new typed classes are still
         ValueErrors, so pre-existing except-clauses keep working."""
-        from repro.core.brs import brs_iter, brs_time_limited
+        from repro.core.brs import brs_time_limited
         from repro.core.params import exponent_for_target_fraction, kkt_analysis
         from repro.errors import EngineError, ParameterError, ReproError
 
         with pytest.raises(EngineError):
-            brs_iter(None, None, 3.0, engine="warp")
+            brs_time_limited(None, None, 3.0, 0.0)
         with pytest.raises(ReproError):  # and via the typed base
-            brs_iter(None, None, 3.0, engine="warp")
-        with pytest.raises(EngineError):
             brs_time_limited(None, None, 3.0, 0.0)
         with pytest.raises(ParameterError):
             exponent_for_target_fraction([0.5], 1.5)
@@ -505,6 +503,74 @@ class TestRequestTimeouts:
                    {"table": "retail", "mw": 3.0})[1]["session_id"]
         assert call(base, "POST", f"/sessions/{sid}/expand",
                     {"rule": [None, None, None, None]})[0] == 200
+
+
+#: One row per malformed ``Content-Length``: the raw header values sent.
+BAD_CONTENT_LENGTHS = [
+    pytest.param([b"abc"], id="non-integer"),
+    pytest.param([b"-1"], id="negative"),
+    pytest.param([b"+19"], id="signed"),
+    pytest.param([b"19.0"], id="fraction"),
+    pytest.param([b"0x13"], id="hex"),
+    pytest.param([b"1_9"], id="underscore"),
+    pytest.param([b"\xb9\xb9"], id="non-ascii-digits"),  # latin-1 superscript ones
+    pytest.param([b""], id="empty"),
+    pytest.param([b"19", b"20"], id="conflicting-duplicates"),
+]
+
+
+class TestContentLengthFraming:
+    """A ``Content-Length`` that is not a plain decimal answers an
+    immediate typed 400 and closes the connection.  Before strict
+    parsing, a non-integer answered 400 ``"ValueError"`` on a kept-alive
+    connection, and a negative one read to EOF (``rfile.read(-1)``),
+    parking the handler until the socket timeout."""
+
+    @pytest.mark.parametrize("values", BAD_CONTENT_LENGTHS)
+    def test_malformed_content_length_is_400_and_closes(self, http_tier, values):
+        base, _tier = http_tier
+        host, port = base.removeprefix("http://").split(":")
+        headers = b"".join(b"Content-Length: " + value + b"\r\n" for value in values)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /sessions HTTP/1.1\r\n"
+                b"Host: t\r\n"
+                b"Content-Type: application/json\r\n"
+                + headers
+                + b"\r\n"
+                b'{"table": "retail"}'
+            )
+            chunks = []
+            while True:  # to EOF: proves the server closed the connection
+                data = sock.recv(65536)
+                if not data:
+                    break
+                chunks.append(data)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["error"] == "ReproError"
+        assert "Content-Length" in payload["message"]
+
+    def test_repeated_identical_content_length_is_accepted(self, http_tier):
+        base, _tier = http_tier
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /sessions HTTP/1.1\r\n"
+                b"Host: t\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 19\r\n"
+                b"Content-Length: 19\r\n"
+                b"Connection: close\r\n"
+                b"\r\n"
+                b'{"table": "retail"}'
+            )
+            response = b""
+            while data := sock.recv(65536):
+                response += data
+        assert response.startswith(b"HTTP/1.1 201")
 
 
 class TestVersionedTables:
